@@ -12,7 +12,7 @@ fn bench_indexing(c: &mut Criterion) {
     let profiles: Vec<(&str, Vec<String>)> = vec![
         (
             "full",
-            up2p_schema::leaf_fields(&community.schema)
+            up2p_schema::leaf_fields(community.schema())
                 .into_iter()
                 .map(|f| f.path)
                 .collect(),

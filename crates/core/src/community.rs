@@ -3,8 +3,9 @@
 
 use crate::error::CoreError;
 use crate::root::{ROOT_COMMUNITY_ID, ROOT_SCHEMA_XSD};
+use std::sync::{Arc, OnceLock};
 use up2p_schema::{parse_schema_str, Schema, SchemaBuilder};
-use up2p_store::ResourceId;
+use up2p_store::{FieldSelectors, ResourceId};
 use up2p_xml::{Document, ElementBuilder, NodeId};
 
 /// A resource-sharing community: identity, descriptive metadata, the
@@ -12,6 +13,11 @@ use up2p_xml::{Document, ElementBuilder, NodeId};
 ///
 /// "In the context of U-P2P a community is defined by a schema and a set
 /// of stylesheets" (§IV-A). The descriptive fields mirror Fig. 3.
+///
+/// The schema — its XSD text, its parse and the index plan derived from
+/// it — is immutable and held behind one `Arc`, so cloning a community
+/// (every servent that joins it) shares the definition instead of
+/// copying it.
 #[derive(Debug, Clone)]
 pub struct Community {
     /// Stable identifier — the content hash of the community object in
@@ -29,11 +35,6 @@ pub struct Community {
     pub security: String,
     /// Underlying protocol: `""`, `Napster`, `Gnutella` or `FastTrack`.
     pub protocol: String,
-    /// The shared-object schema, as XSD text (travels with the community
-    /// object as an attachment).
-    pub schema_xsd: String,
-    /// The parsed schema.
-    pub schema: Schema,
     /// Custom view stylesheet (XSLT text), `None` = default.
     pub display_style: Option<String>,
     /// Custom create-form stylesheet.
@@ -43,6 +44,25 @@ pub struct Community {
     /// Custom indexed-attribute filter stylesheet (Fig. 1's fourth
     /// stylesheet).
     pub index_style: Option<String>,
+    definition: Arc<Definition>,
+}
+
+/// What every member of a community shares read-only: the schema text,
+/// its parse, and the searchable field paths compiled into selectors.
+#[derive(Debug)]
+struct Definition {
+    xsd: String,
+    schema: Schema,
+    indexed: FieldSelectors,
+}
+
+impl Definition {
+    fn parse(xsd: &str) -> Result<Definition, CoreError> {
+        let schema = parse_schema_str(xsd)?;
+        let paths: Vec<String> =
+            up2p_schema::searchable_fields(&schema).into_iter().map(|f| f.path).collect();
+        Ok(Definition { xsd: xsd.to_string(), indexed: FieldSelectors::new(&paths), schema })
+    }
 }
 
 impl Community {
@@ -61,7 +81,6 @@ impl Community {
         protocol: &str,
         schema_xsd: &str,
     ) -> Result<Community, CoreError> {
-        let schema = parse_schema_str(schema_xsd)?;
         let mut c = Community {
             id: String::new(),
             name: name.to_string(),
@@ -70,12 +89,11 @@ impl Community {
             category: category.to_string(),
             security: String::new(),
             protocol: protocol.to_string(),
-            schema_xsd: schema_xsd.to_string(),
-            schema,
             display_style: None,
             create_style: None,
             search_style: None,
             index_style: None,
+            definition: Arc::new(Definition::parse(schema_xsd)?),
         };
         c.id = c.derive_id();
         Ok(c)
@@ -100,27 +118,46 @@ impl Community {
         Community::new(name, description, keywords, category, protocol, &builder.to_xsd())
     }
 
-    /// The built-in root community (Fig. 3 schema, fixed id).
+    /// The built-in root community (Fig. 3 schema, fixed id). Built once
+    /// per process; every call returns a clone sharing its definition.
     pub fn root() -> Community {
-        let schema = parse_schema_str(ROOT_SCHEMA_XSD)
-            .expect("the paper's Fig. 3 schema always parses");
-        Community {
-            id: ROOT_COMMUNITY_ID.to_string(),
-            name: "Root Community".to_string(),
-            description: "The community-sharing community that bootstraps U-P2P: \
-                          its objects describe other communities."
-                .to_string(),
-            keywords: "community discovery bootstrap metaclass".to_string(),
-            category: "meta".to_string(),
-            security: String::new(),
-            protocol: String::new(),
-            schema_xsd: ROOT_SCHEMA_XSD.to_string(),
-            schema,
-            display_style: None,
-            create_style: None,
-            search_style: None,
-            index_style: None,
-        }
+        Community::clone(Community::shared_root())
+    }
+
+    /// The process-wide root community every servent holds.
+    pub(crate) fn shared_root() -> &'static Arc<Community> {
+        static ROOT: OnceLock<Arc<Community>> = OnceLock::new();
+        ROOT.get_or_init(|| {
+            let definition = Definition::parse(ROOT_SCHEMA_XSD)
+                .expect("the paper's Fig. 3 schema always parses");
+            Arc::new(Community {
+                id: ROOT_COMMUNITY_ID.to_string(),
+                name: "Root Community".to_string(),
+                description: "The community-sharing community that bootstraps U-P2P: \
+                              its objects describe other communities."
+                    .to_string(),
+                keywords: "community discovery bootstrap metaclass".to_string(),
+                category: "meta".to_string(),
+                security: String::new(),
+                protocol: String::new(),
+                display_style: None,
+                create_style: None,
+                search_style: None,
+                index_style: None,
+                definition: Arc::new(definition),
+            })
+        })
+    }
+
+    /// The shared-object schema, as XSD text (travels with the community
+    /// object as an attachment).
+    pub fn schema_xsd(&self) -> &str {
+        &self.definition.xsd
+    }
+
+    /// The parsed schema.
+    pub fn schema(&self) -> &Schema {
+        &self.definition.schema
     }
 
     /// Attaches a custom view stylesheet (re-deriving the identity: the
@@ -156,7 +193,7 @@ impl Community {
     /// The URI under which this community's schema travels as an
     /// attachment of its community object.
     pub fn schema_uri(&self) -> String {
-        format!("up2p:attachment:{}", ResourceId::for_bytes(self.schema_xsd.as_bytes()))
+        format!("up2p:attachment:{}", ResourceId::for_bytes(self.schema_xsd().as_bytes()))
     }
 
     /// Renders this community as a community *object* conforming to the
@@ -200,7 +237,7 @@ impl Community {
                 .map(|n| doc.text_content(n))
                 .ok_or_else(|| CoreError::MissingField(name.to_string()))
         };
-        let schema = parse_schema_str(schema_xsd)?;
+        let definition = Arc::new(Definition::parse(schema_xsd)?);
         // identity comes from the object document itself, so it matches
         // the publisher's id regardless of which stylesheets this peer
         // manages to resolve
@@ -213,12 +250,11 @@ impl Community {
             category: text("category")?,
             security: text("security")?,
             protocol: text("protocol")?,
-            schema_xsd: schema_xsd.to_string(),
-            schema,
             display_style: None,
             create_style: None,
             search_style: None,
             index_style: None,
+            definition,
         })
     }
 
@@ -256,7 +292,7 @@ impl Community {
 
     /// The root element name instances of this community use.
     pub fn object_root_name(&self) -> &str {
-        self.schema.root_element().map(|e| e.name.as_str()).unwrap_or("object")
+        self.schema().root_element().map(|e| e.name.as_str()).unwrap_or("object")
     }
 
     /// Validates an instance document against the community schema.
@@ -265,7 +301,7 @@ impl Community {
     ///
     /// Returns [`CoreError::Validation`] listing every problem.
     pub fn validate(&self, doc: &Document) -> Result<(), CoreError> {
-        up2p_schema::Validator::new(&self.schema)
+        up2p_schema::Validator::new(self.schema())
             .validate(doc)
             .map_err(CoreError::Validation)
     }
@@ -273,12 +309,20 @@ impl Community {
     /// Field paths this community indexes (searchable fields, honoring
     /// the schema's markers with the textual-leaf default).
     pub fn indexed_paths(&self) -> Vec<String> {
-        up2p_schema::searchable_fields(&self.schema).into_iter().map(|f| f.path).collect()
+        self.definition.indexed.paths().map(str::to_string).collect()
+    }
+
+    /// Extracts the `(path, value)` fields of
+    /// [`indexed_paths`](Self::indexed_paths) from an instance, with the
+    /// selectors compiled when the community was built — the same result
+    /// as `Repository::extract_fields(doc, &self.indexed_paths())`.
+    pub fn extract_fields(&self, doc: &Document) -> Vec<(String, String)> {
+        self.definition.indexed.extract(doc)
     }
 
     /// Attachment field paths of the community schema.
     pub fn attachment_paths(&self) -> Vec<String> {
-        up2p_schema::attachment_fields(&self.schema).into_iter().map(|f| f.path).collect()
+        up2p_schema::attachment_fields(self.schema()).into_iter().map(|f| f.path).collect()
     }
 
     /// Finds the element holding an attachment URI inside an instance.
@@ -326,7 +370,7 @@ mod tests {
             .unwrap();
         let obj = c.to_object();
         let root = Community::root();
-        Validator::new(&root.schema).validate(&obj).unwrap();
+        Validator::new(root.schema()).validate(&obj).unwrap();
     }
 
     #[test]
@@ -335,7 +379,7 @@ mod tests {
             Community::from_builder("mp3", "songs", "music jazz", "audio", "FastTrack", &song_builder())
                 .unwrap();
         let obj = original.to_object();
-        let rebuilt = Community::from_object(&obj, &original.schema_xsd).unwrap();
+        let rebuilt = Community::from_object(&obj, original.schema_xsd()).unwrap();
         assert_eq!(rebuilt.id, original.id, "same object + schema = same identity");
         assert_eq!(rebuilt.name, "mp3");
         assert_eq!(rebuilt.protocol, "FastTrack");

@@ -35,7 +35,7 @@ pub type ExtractedFields = Vec<(String, String)>;
 /// # Ok::<(), up2p_core::CoreError>(())
 /// ```
 pub fn extract_metadata(community: &Community, raw: &str) -> ExtractedFields {
-    let fields = leaf_fields(&community.schema);
+    let fields = leaf_fields(community.schema());
     let mut out = Vec::new();
     for line in raw.lines() {
         let Some((key, value)) = line.split_once(':') else { continue };

@@ -86,8 +86,8 @@ impl FormModel {
     /// Derives a form of the given kind from a community's schema.
     pub fn derive(community: &Community, kind: FormKind) -> FormModel {
         let fields = match kind {
-            FormKind::Create => leaf_fields(&community.schema),
-            FormKind::Search => searchable_fields(&community.schema),
+            FormKind::Create => leaf_fields(community.schema()),
+            FormKind::Search => searchable_fields(community.schema()),
         };
         FormModel {
             community_id: community.id.clone(),

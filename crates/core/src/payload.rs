@@ -9,6 +9,7 @@
 use crate::error::CoreError;
 use crate::object::{Attachment, SharedObject};
 use std::collections::HashMap;
+use std::sync::Arc;
 use up2p_store::ResourceId;
 use up2p_xml::Document;
 
@@ -22,7 +23,7 @@ pub struct PayloadPlane {
 #[derive(Debug, Clone)]
 struct StoredPayload {
     community_id: String,
-    xml: String,
+    xml: Arc<str>,
     attachment_uris: Vec<String>,
 }
 
@@ -34,6 +35,13 @@ impl PayloadPlane {
 
     /// Registers an object's payload (called on publish).
     pub fn put(&mut self, object: &SharedObject) {
+        self.put_canonical(object, object.xml().into());
+    }
+
+    /// [`put`](Self::put) with the object's canonical XML already
+    /// serialized: the plane keeps that allocation (the publishing
+    /// servent's repository holds the same one).
+    pub(crate) fn put_canonical(&mut self, object: &SharedObject, xml: Arc<str>) {
         for a in &object.attachments {
             self.attachments.insert(a.uri.clone(), a.data.clone());
         }
@@ -41,7 +49,7 @@ impl PayloadPlane {
             object.key.clone(),
             StoredPayload {
                 community_id: object.community_id.clone(),
-                xml: object.xml(),
+                xml,
                 attachment_uris: object.attachments.iter().map(|a| a.uri.clone()).collect(),
             },
         );
@@ -77,19 +85,29 @@ impl PayloadPlane {
     /// unknown; [`CoreError::IntegrityFailure`] when the payload does not
     /// hash to `key`; [`CoreError::Xml`] when the stored XML is corrupt.
     pub fn fetch(&self, key: &str) -> Result<SharedObject, CoreError> {
+        Ok(self.fetch_canonical(key)?.0)
+    }
+
+    /// [`fetch`](Self::fetch), also returning the stored canonical XML so
+    /// a re-sharing servent stores that allocation rather than
+    /// re-serializing the document. The payload is hashed as stored and
+    /// parsed once, into the returned document.
+    pub(crate) fn fetch_canonical(
+        &self,
+        key: &str,
+    ) -> Result<(SharedObject, Arc<str>), CoreError> {
         let stored = self
             .objects
             .get(key)
             .ok_or_else(|| CoreError::Unavailable(format!("object {key}")))?;
-        let doc = Document::parse(&stored.xml)?;
-        let actual =
-            ResourceId::for_object(&stored.community_id, &doc.to_xml_string()).to_string();
+        let actual = ResourceId::for_object(&stored.community_id, &stored.xml).to_string();
         if actual != key {
             return Err(CoreError::IntegrityFailure {
                 expected: key.to_string(),
                 actual,
             });
         }
+        let doc = Document::parse(&stored.xml)?;
         let mut attachments = Vec::new();
         for uri in &stored.attachment_uris {
             let data = self
@@ -109,12 +127,13 @@ impl PayloadPlane {
             }
             attachments.push(att);
         }
-        Ok(SharedObject {
+        let object = SharedObject {
             key: key.to_string(),
             community_id: stored.community_id.clone(),
             doc,
             attachments,
-        })
+        };
+        Ok((object, Arc::clone(&stored.xml)))
     }
 }
 
@@ -155,8 +174,7 @@ mod tests {
         let o = object();
         plane.put(&o);
         // register tampered XML under the honest key
-        plane.objects.get_mut(&o.key).unwrap().xml =
-            "<song><title>evil</title></song>".to_string();
+        plane.objects.get_mut(&o.key).unwrap().xml = "<song><title>evil</title></song>".into();
         assert!(matches!(plane.fetch(&o.key), Err(CoreError::IntegrityFailure { .. })));
     }
 

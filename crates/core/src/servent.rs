@@ -12,10 +12,12 @@ use crate::payload::PayloadPlane;
 use crate::root::ROOT_COMMUNITY_ID;
 use crate::stylesheets;
 use std::collections::HashMap;
+use std::sync::Arc;
 use up2p_net::{
     PeerId, PeerNetwork, ResourceRecord, RetrieveOutcome, SearchHit, SearchOutcome, SharedFields,
 };
-use up2p_store::{Query, Repository};
+use up2p_store::{Query, Repository, ResourceId};
+use up2p_xml::Document;
 
 /// A U-P2P peer: local repository, joined communities, and the paper's
 /// create/search/view functions.
@@ -26,7 +28,9 @@ use up2p_store::{Query, Repository};
 pub struct Servent {
     peer: PeerId,
     repository: Repository,
-    communities: HashMap<String, Community>,
+    /// Joined communities by id. The root community is one process-wide
+    /// allocation every servent points at.
+    communities: HashMap<String, Arc<Community>>,
     /// Re-share downloaded objects (Napster-style replication, on by
     /// default; experiment E5's control knob).
     pub share_downloads: bool,
@@ -36,7 +40,7 @@ impl Servent {
     /// Creates a servent for `peer`, joined to the root community.
     pub fn new(peer: PeerId) -> Servent {
         let mut communities = HashMap::new();
-        let root = Community::root();
+        let root = Arc::clone(Community::shared_root());
         communities.insert(root.id.clone(), root);
         Servent { peer, repository: Repository::new(), communities, share_downloads: true }
     }
@@ -53,23 +57,23 @@ impl Servent {
 
     /// Joined communities, root included.
     pub fn communities(&self) -> impl Iterator<Item = &Community> {
-        self.communities.values()
+        self.communities.values().map(Arc::as_ref)
     }
 
     /// Looks up a joined community.
     pub fn community(&self, id: &str) -> Option<&Community> {
-        self.communities.get(id)
+        self.communities.get(id).map(Arc::as_ref)
     }
 
     fn community_or_err(&self, id: &str) -> Result<&Community, CoreError> {
-        self.communities.get(id).ok_or_else(|| CoreError::UnknownCommunity(id.to_string()))
+        self.community(id).ok_or_else(|| CoreError::UnknownCommunity(id.to_string()))
     }
 
     /// Joins a community whose definition is already at hand (local
     /// creation; the network path is [`Servent::join_from_hit`]).
     pub fn join(&mut self, community: Community) -> &Community {
         let id = community.id.clone();
-        self.communities.entry(id).or_insert(community)
+        self.communities.entry(id).or_insert_with(|| Arc::new(community))
     }
 
     /// Leaves a community (the root community cannot be left).
@@ -140,10 +144,14 @@ impl Servent {
     /// Stores an object locally and announces it on the network
     /// (publish ≈ the paper's create primitive reaching the P2P layer).
     ///
-    /// The extracted metadata is allocated once here and then shared by
-    /// reference: the local repository, its index, the network record
-    /// uploaded to index nodes and every search hit other peers receive
-    /// all hold the same allocation.
+    /// One pass: the document is serialized once and its fields are
+    /// extracted once, with the community's precompiled selectors. The
+    /// canonical XML is then shared by the local repository and the
+    /// payload plane, and the extracted metadata by the repository, its
+    /// index, the network record uploaded to index nodes and every
+    /// search hit other peers receive. `object.key` is used as the
+    /// content key as given (as [`SharedObject::new`] derived it), not
+    /// re-hashed.
     ///
     /// # Errors
     ///
@@ -154,14 +162,27 @@ impl Servent {
         plane: &mut PayloadPlane,
         object: &SharedObject,
     ) -> Result<String, CoreError> {
+        let xml: Arc<str> = object.xml().into();
+        self.publish_canonical(net, plane, object, xml)
+    }
+
+    /// [`Servent::publish`] of an object whose canonical XML is at hand.
+    fn publish_canonical(
+        &mut self,
+        net: &mut dyn PeerNetwork,
+        plane: &mut PayloadPlane,
+        object: &SharedObject,
+        xml: Arc<str>,
+    ) -> Result<String, CoreError> {
         let community = self.community_or_err(&object.community_id)?;
-        let fields: SharedFields = self.index_fields(community, object)?.into();
-        self.repository.insert_with_fields(
+        let fields: SharedFields = index_fields(community, &object.doc)?.into();
+        self.repository.insert_canonical(
             &object.community_id,
-            object.doc.clone(),
+            ResourceId::from_key(&object.key),
+            Arc::clone(&xml),
             SharedFields::clone(&fields),
         );
-        plane.put(object);
+        plane.put_canonical(object, xml);
         net.publish(
             self.peer,
             ResourceRecord {
@@ -171,20 +192,6 @@ impl Servent {
             },
         );
         Ok(object.key.clone())
-    }
-
-    /// Extracts the metadata fields to index for an object, using the
-    /// community's custom indexer stylesheet when present, else native
-    /// extraction of the searchable paths.
-    fn index_fields(
-        &self,
-        community: &Community,
-        object: &SharedObject,
-    ) -> Result<Vec<(String, String)>, CoreError> {
-        match &community.index_style {
-            Some(xslt) => stylesheets::apply_index_style(xslt, &object.doc),
-            None => Ok(Repository::extract_fields(&object.doc, &community.indexed_paths())),
-        }
     }
 
     /// Publishes a *community* into the root community — the metaclass
@@ -202,7 +209,7 @@ impl Servent {
     ) -> Result<String, CoreError> {
         self.join(community.clone());
         let mut attachments =
-            vec![Attachment::from_bytes(community.schema_xsd.clone().into_bytes())];
+            vec![Attachment::from_bytes(community.schema_xsd().as_bytes().to_vec())];
         for style in [
             &community.display_style,
             &community.create_style,
@@ -297,16 +304,17 @@ impl Servent {
                 Err(CoreError::Unavailable(format!("object {} at {}", hit.key, hit.provider)))
             }
             RetrieveOutcome::Fetched { .. } => {
-                let object = plane.fetch(&hit.key)?;
+                let (object, xml) = plane.fetch_canonical(&hit.key)?;
                 if self.communities.contains_key(&object.community_id) {
                     if self.share_downloads {
-                        self.publish(net, plane, &object)?;
+                        self.publish_canonical(net, plane, &object, xml)?;
                     } else {
                         let community = self.community_or_err(&object.community_id)?;
-                        let fields = self.index_fields(community, &object)?;
-                        self.repository.insert_with_fields(
+                        let fields = index_fields(community, &object.doc)?;
+                        self.repository.insert_canonical(
                             &object.community_id,
-                            object.doc.clone(),
+                            ResourceId::from_key(&object.key),
+                            xml,
                             fields,
                         );
                     }
@@ -418,7 +426,7 @@ impl Servent {
                 continue; // rebuilt on load
             }
             let mut wrapper = ElementBuilder::new("saved-community")
-                .child_text("schema-xsd", community.schema_xsd.clone());
+                .child_text("schema-xsd", community.schema_xsd().to_string());
             for (kind, style) in [
                 ("display", &community.display_style),
                 ("create", &community.create_style),
@@ -498,6 +506,19 @@ impl Servent {
             }
         }
         Ok(servent)
+    }
+}
+
+/// Extracts the metadata fields to index for an object document, using
+/// the community's custom indexer stylesheet when present, else its
+/// precompiled searchable-path selectors.
+fn index_fields(
+    community: &Community,
+    doc: &Document,
+) -> Result<Vec<(String, String)>, CoreError> {
+    match &community.index_style {
+        Some(xslt) => stylesheets::apply_index_style(xslt, doc),
+        None => Ok(community.extract_fields(doc)),
     }
 }
 
@@ -792,5 +813,31 @@ mod tests {
         let downloaded = c.download(&mut *w.net, &mut w.plane, &out.hits[0]).unwrap();
         assert_eq!(downloaded.attachments.len(), 1);
         assert_eq!(downloaded.attachments[0].data, att.data);
+    }
+
+    #[test]
+    fn publish_stores_one_xml_allocation_for_repository_and_plane() {
+        let mut w = world(ProtocolKind::Napster, 3);
+        let community = pattern_community();
+        let mut a = Servent::new(PeerId(1));
+        a.join(community.clone());
+        let obj = a
+            .create_object(
+                &community.id,
+                &[("name", "X"), ("category", "c"), ("intent", "i"), ("structure", "s")],
+            )
+            .unwrap();
+        let key = a.publish(&mut *w.net, &mut w.plane, &obj).unwrap();
+        let stored = a.repository().get(&ResourceId::from_key(&key)).unwrap();
+        let (_, served) = w.plane.fetch_canonical(&key).unwrap();
+        assert!(Arc::ptr_eq(&stored.xml, &served));
+
+        // a re-sharing download stores the plane's allocation too
+        let mut b = Servent::new(PeerId(2));
+        b.join(community.clone());
+        let out = b.search(&mut *w.net, &community.id, &Query::any_keyword("x")).unwrap();
+        b.download(&mut *w.net, &mut w.plane, &out.hits[0]).unwrap();
+        let copy = b.repository().get(&ResourceId::from_key(&key)).unwrap();
+        assert!(Arc::ptr_eq(&copy.xml, &served));
     }
 }

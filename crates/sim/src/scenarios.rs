@@ -671,7 +671,7 @@ pub fn e7_indexing() -> Table {
         &["profile", "fields", "token postings", "approx bytes", "build ms", "recall"],
     );
     let community = pattern_community();
-    let all_paths: Vec<String> = up2p_schema::leaf_fields(&community.schema)
+    let all_paths: Vec<String> = up2p_schema::leaf_fields(community.schema())
         .into_iter()
         .filter(|f| f.base.is_textual() || !f.enumeration.is_empty())
         .map(|f| f.path)

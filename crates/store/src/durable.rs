@@ -241,17 +241,13 @@ impl DurableRepository {
         fields: impl Into<std::sync::Arc<[(String, String)]>>,
     ) -> Result<ResourceId, StoreError> {
         let fields = fields.into();
-        let xml = doc.to_xml_string();
+        let xml: std::sync::Arc<str> = doc.to_xml_string().into();
+        drop(doc);
+        let id = ResourceId::for_object(community, &xml);
         let prep = prepare_fields(&fields);
-        let rec = WalRecord::Publish {
-            community: community.to_string(),
-            xml,
-            fields: fields.to_vec(),
-            prep: prep.clone(),
-        };
-        self.wal.append(&rec)?;
+        self.wal.append_publish(community, &xml, &fields, &prep)?;
         self.wal_records += 1;
-        let id = self.repo.insert_prepared(community, doc, fields, &prep);
+        self.repo.insert_prepared(community, id.clone(), xml, fields, &prep);
         self.maybe_compact()?;
         Ok(id)
     }
@@ -343,7 +339,7 @@ impl DurableRepository {
 fn publish_record(obj: &StoredObject) -> WalRecord {
     WalRecord::Publish {
         community: obj.community.clone(),
-        xml: obj.xml.clone(),
+        xml: obj.xml.to_string(),
         fields: obj.fields.to_vec(),
         prep: prepare_fields(&obj.fields),
     }
@@ -380,12 +376,14 @@ fn replay_state(
         }
     }
     let mut items = Vec::with_capacity(live.len());
-    for rec in live.into_values() {
+    for (id, rec) in live {
         let WalRecord::Publish { community, xml, fields, prep } = rec else {
             continue; // unreachable: removes never enter the map
         };
-        let doc = Document::parse(&xml)?;
-        items.push((community, doc, fields, prep));
+        // a checksummed record can still carry text that is not XML:
+        // reject it here rather than store it, but keep only the text
+        Document::parse(&xml)?;
+        items.push((id, community, xml.into(), fields, prep));
     }
     let mut repo = Repository::new();
     repo.insert_prepared_batch(items);

@@ -387,6 +387,12 @@ impl<'a> Cursor<'a> {
         std::str::from_utf8(bytes).ok()
     }
 
+    /// Bytes not yet consumed — the bound for any preallocation sized
+    /// from a decoded count.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     pub(crate) fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }

@@ -9,29 +9,37 @@ use crate::query::Query;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
-use up2p_xml::{Document, ElementBuilder, XPath};
+use up2p_xml::{Document, ElementBuilder, ParseXmlError, XPath};
 
-/// A stored shared object: its community, canonical XML, parsed document
-/// and the metadata fields that were extracted for indexing.
+/// A stored shared object: its community, canonical XML and the metadata
+/// fields that were extracted for indexing. The XML text is the only
+/// form of the object kept; [`StoredObject::document`] parses it on
+/// demand.
 #[derive(Debug, Clone)]
 pub struct StoredObject {
     /// Content-derived identifier.
     pub id: ResourceId,
     /// Community the object belongs to.
     pub community: String,
-    /// Canonical (compact) XML text.
-    pub xml: String,
+    /// Canonical (compact) XML text — on the servent's publish path the
+    /// same allocation the payload plane serves.
+    pub xml: Arc<str>,
     /// Extracted `(field path, value)` metadata — the same allocation the
     /// metadata index (and, on the publish path, the network record)
     /// holds.
     pub fields: Arc<[(String, String)]>,
-    doc: Document,
 }
 
 impl StoredObject {
-    /// The parsed object document.
-    pub fn document(&self) -> &Document {
-        &self.doc
+    /// Parses the object document from its canonical XML.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseXmlError`] when the stored text does not parse
+    /// (never for objects inserted through this crate, which all come
+    /// from a serialized or parse-checked document).
+    pub fn document(&self) -> Result<Document, ParseXmlError> {
+        Document::parse(&self.xml)
     }
 
     /// Value of the first field whose path ends in `leaf`, used as a
@@ -41,6 +49,54 @@ impl StoredObject {
             .iter()
             .find(|(p, _)| crate::query::field_matches(p, leaf))
             .map(|(_, v)| v.as_str())
+    }
+}
+
+/// Field paths compiled once into XPath selectors, so extracting an
+/// object's index fields does no path formatting or XPath parsing.
+///
+/// A path `pattern/name` selects every `/pattern/name` element's text
+/// content; a path that does not compile selects nothing.
+#[derive(Debug, Clone, Default)]
+pub struct FieldSelectors {
+    selectors: Vec<(String, Option<XPath>)>,
+}
+
+impl FieldSelectors {
+    /// Compiles `paths`, in order.
+    pub fn new(paths: &[String]) -> FieldSelectors {
+        let selectors = paths
+            .iter()
+            .map(|path| {
+                let xp = XPath::parse(&format!("/{}", path.trim_matches('/'))).ok();
+                (path.clone(), xp)
+            })
+            .collect();
+        FieldSelectors { selectors }
+    }
+
+    /// The paths, in order.
+    pub fn paths(&self) -> impl Iterator<Item = &str> {
+        self.selectors.iter().map(|(p, _)| p.as_str())
+    }
+
+    /// Extracts `(path, trimmed text)` for every non-empty selected
+    /// element, in path order then document order.
+    pub fn extract(&self, doc: &Document) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        for (path, xp) in &self.selectors {
+            let Some(Ok(nodes)) = xp.as_ref().map(|xp| xp.select_nodes(doc, doc.root())) else {
+                continue;
+            };
+            for n in nodes {
+                let value = doc.text_content(n);
+                let trimmed = value.trim();
+                if !trimmed.is_empty() {
+                    out.push((path.clone(), trimmed.to_string()));
+                }
+            }
+        }
+        out
     }
 }
 
@@ -88,21 +144,11 @@ impl Repository {
     /// Extracts the values of the given field paths from an object
     /// document. A path `pattern/name` selects every `/pattern/name`
     /// element's text content.
+    ///
+    /// Compiles the paths on every call; callers extracting many objects
+    /// with one path set keep a [`FieldSelectors`] instead.
     pub fn extract_fields(doc: &Document, paths: &[String]) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for path in paths {
-            let expr = format!("/{}", path.trim_matches('/'));
-            let Ok(xp) = XPath::parse(&expr) else { continue };
-            let Ok(nodes) = xp.select_nodes(doc, doc.root()) else { continue };
-            for n in nodes {
-                let value = doc.text_content(n);
-                let trimmed = value.trim();
-                if !trimmed.is_empty() {
-                    out.push((path.clone(), trimmed.to_string()));
-                }
-            }
-        }
-        out
+        FieldSelectors::new(paths).extract(doc)
     }
 
     /// Inserts an object from XML text, extracting and indexing the given
@@ -134,80 +180,82 @@ impl Repository {
     }
 
     /// Inserts with pre-extracted fields (used by the indexer-stylesheet
-    /// path, where the community's filter stylesheet chose the fields,
-    /// and by the servent's publish path, which shares one `Arc` between
-    /// the repository, the index and the published network record).
+    /// path, where the community's filter stylesheet chose the fields).
+    /// The document is serialized once and dropped; only its canonical
+    /// XML is stored.
     pub fn insert_with_fields(
         &mut self,
         community: &str,
         doc: Document,
         fields: impl Into<Arc<[(String, String)]>>,
     ) -> ResourceId {
-        let fields = fields.into();
-        let xml = doc.to_xml_string();
+        let xml: Arc<str> = doc.to_xml_string().into();
         let id = ResourceId::for_object(community, &xml);
-        self.index.insert_shared(id.clone(), Arc::clone(&fields));
-        self.by_community.entry(community.to_string()).or_default().insert(id.clone());
-        self.objects.insert(
-            id.clone(),
-            StoredObject { id: id.clone(), community: community.to_string(), xml, fields, doc },
-        );
+        self.insert_canonical(community, id.clone(), xml, fields);
         id
     }
 
-    /// Inserts with pre-extracted fields *and* their pre-tokenized form
-    /// (see [`crate::prepare_fields`]) — the durable-store path, where
-    /// tokenization already happened when the WAL record was built and
-    /// must not run again.
+    /// Inserts an object whose canonical XML and content id the caller
+    /// already holds — the servent's publish path, which serializes and
+    /// hashes once and shares the XML allocation with the payload plane
+    /// and the field allocation with the network record. `id` must be
+    /// `ResourceId::for_object(community, &xml)`; it is not re-derived.
+    pub fn insert_canonical(
+        &mut self,
+        community: &str,
+        id: ResourceId,
+        xml: Arc<str>,
+        fields: impl Into<Arc<[(String, String)]>>,
+    ) {
+        let fields = fields.into();
+        self.index.insert_shared(id.clone(), Arc::clone(&fields));
+        self.place(StoredObject { id, community: community.to_string(), xml, fields });
+    }
+
+    /// Inserts a canonical object with pre-extracted fields *and* their
+    /// pre-tokenized form (see [`crate::prepare_fields`]) — the
+    /// durable-store path, where tokenization already happened when the
+    /// WAL record was built and must not run again. As with
+    /// [`insert_canonical`](Self::insert_canonical), `id` is taken as
+    /// given.
     pub fn insert_prepared(
         &mut self,
         community: &str,
-        doc: Document,
+        id: ResourceId,
+        xml: Arc<str>,
         fields: impl Into<Arc<[(String, String)]>>,
         prep: &[PreparedField],
-    ) -> ResourceId {
+    ) {
         let fields = fields.into();
-        let xml = doc.to_xml_string();
-        let id = ResourceId::for_object(community, &xml);
         self.index.insert_tokenized(id.clone(), Arc::clone(&fields), prep);
-        self.by_community.entry(community.to_string()).or_default().insert(id.clone());
-        self.objects.insert(
-            id.clone(),
-            StoredObject { id: id.clone(), community: community.to_string(), xml, fields, doc },
-        );
-        id
+        self.place(StoredObject { id, community: community.to_string(), xml, fields });
     }
 
     /// Bulk [`insert_prepared`](Self::insert_prepared) with deferred
     /// posting-list merging ([`MetadataIndex::insert_batch_tokenized`]) —
-    /// the segment/WAL recovery load path. Returns ids in input order.
-    pub fn insert_prepared_batch<I>(&mut self, items: I) -> Vec<ResourceId>
+    /// the segment/WAL recovery load path. Items are `(id, community,
+    /// canonical XML, fields, prepared fields)`.
+    pub fn insert_prepared_batch<I>(&mut self, items: I)
     where
-        I: IntoIterator<Item = (String, Document, Vec<(String, String)>, Vec<PreparedField>)>,
+        I: IntoIterator<
+            Item = (ResourceId, String, Arc<str>, Vec<(String, String)>, Vec<PreparedField>),
+        >,
     {
-        type Prepared = (ResourceId, Arc<[(String, String)]>, Vec<PreparedField>, String, String, Document);
-        let prepared: Vec<Prepared> = items
+        let (objects, prepared): (Vec<StoredObject>, Vec<Vec<PreparedField>>) = items
             .into_iter()
-            .map(|(community, doc, fields, prep)| {
-                let fields: Arc<[(String, String)]> = fields.into();
-                let xml = doc.to_xml_string();
-                let id = ResourceId::for_object(&community, &xml);
-                (id, fields, prep, community, xml, doc)
+            .map(|(id, community, xml, fields, prep)| {
+                (StoredObject { id, community, xml, fields: fields.into() }, prep)
             })
-            .collect();
+            .unzip();
         self.index.insert_batch_tokenized(
-            prepared
+            objects
                 .iter()
-                .map(|(id, fields, prep, _, _, _)| (id.clone(), Arc::clone(fields), prep.clone())),
+                .zip(prepared)
+                .map(|(o, prep)| (o.id.clone(), Arc::clone(&o.fields), prep)),
         );
-        let mut ids = Vec::with_capacity(prepared.len());
-        for (id, fields, _, community, xml, doc) in prepared {
-            ids.push(id.clone());
-            self.by_community.entry(community.clone()).or_default().insert(id.clone());
-            self.objects
-                .insert(id.clone(), StoredObject { id, community, xml, fields, doc });
+        for obj in objects {
+            self.place(obj);
         }
-        ids
     }
 
     /// Bulk-inserts parsed documents, extracting and indexing the given
@@ -224,30 +272,28 @@ impl Repository {
     where
         I: IntoIterator<Item = Document>,
     {
-        type Prepared = (ResourceId, Arc<[(String, String)]>, String, Document);
-        let prepared: Vec<Prepared> = docs
+        let selectors = FieldSelectors::new(index_paths);
+        let objects: Vec<StoredObject> = docs
             .into_iter()
             .map(|doc| {
-                let fields: Arc<[(String, String)]> =
-                    Self::extract_fields(&doc, index_paths).into();
-                let xml = doc.to_xml_string();
+                let fields = selectors.extract(&doc).into();
+                let xml: Arc<str> = doc.to_xml_string().into();
                 let id = ResourceId::for_object(community, &xml);
-                (id, fields, xml, doc)
+                StoredObject { id, community: community.to_string(), xml, fields }
             })
             .collect();
-        self.index.insert_batch(
-            prepared.iter().map(|(id, fields, _, _)| (id.clone(), Arc::clone(fields))),
-        );
-        let mut ids = Vec::with_capacity(prepared.len());
-        for (id, fields, xml, doc) in prepared {
-            ids.push(id.clone());
-            self.by_community.entry(community.to_string()).or_default().insert(id.clone());
-            self.objects.insert(
-                id.clone(),
-                StoredObject { id, community: community.to_string(), xml, fields, doc },
-            );
+        self.index
+            .insert_batch(objects.iter().map(|o| (o.id.clone(), Arc::clone(&o.fields))));
+        let ids = objects.iter().map(|o| o.id.clone()).collect();
+        for obj in objects {
+            self.place(obj);
         }
         ids
+    }
+
+    fn place(&mut self, obj: StoredObject) {
+        self.by_community.entry(obj.community.clone()).or_default().insert(obj.id.clone());
+        self.objects.insert(obj.id.clone(), obj);
     }
 
     /// Fetches an object by id.
@@ -325,6 +371,7 @@ impl Repository {
     /// Runs an XPath query against every object document (the "richer
     /// query language" of the paper's future work): an object matches
     /// when the expression evaluates to a truthy value on its document.
+    /// Each candidate is parsed from its stored XML for the evaluation.
     ///
     /// # Errors
     ///
@@ -343,10 +390,8 @@ impl Repository {
                     continue;
                 }
             }
-            let truthy = xp
-                .eval_root(&obj.doc)
-                .map(|v| v.into_bool())
-                .unwrap_or(false);
+            let Ok(doc) = obj.document() else { continue };
+            let truthy = xp.eval_root(&doc).map(|v| v.into_bool()).unwrap_or(false);
             if truthy {
                 out.push(obj);
             }

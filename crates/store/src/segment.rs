@@ -22,6 +22,10 @@ use std::path::{Path, PathBuf};
 
 pub(crate) const SEG_MAGIC: &[u8; 8] = b"UP2PSEG1";
 
+/// Smallest encoded entry: a frame header around a publish payload of
+/// tag, empty community, empty XML and a zero field count.
+const MIN_ENTRY_BYTES: usize = crate::fsio::FRAME_HEADER + 1 + 4 + 4 + 4;
+
 /// Manifest file name inside a durable store directory.
 pub(crate) const MANIFEST: &str = "MANIFEST";
 const MANIFEST_TMP: &str = "MANIFEST.tmp";
@@ -157,7 +161,9 @@ pub(crate) fn load_segment(path: &Path) -> Result<Vec<WalRecord>, StoreError> {
     let count =
         u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
     let mut pos = SEG_MAGIC.len() + 4;
-    let mut records = Vec::with_capacity(count);
+    // the count is untrusted until every frame checks out: reserve no
+    // more entries than the remaining bytes could possibly hold
+    let mut records = Vec::with_capacity(count.min((bytes.len() - pos) / MIN_ENTRY_BYTES));
     for i in 0..count {
         match read_frame(&bytes, pos) {
             FrameRead::Frame { payload, next } => {

@@ -62,19 +62,7 @@ pub enum WalRecord {
 pub(crate) fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
     match rec {
         WalRecord::Publish { community, xml, fields, prep } => {
-            out.push(TAG_PUBLISH);
-            put_str(out, community);
-            put_str(out, xml);
-            put_u32(out, fields.len() as u32);
-            for ((path, value), pf) in fields.iter().zip(prep) {
-                put_str(out, path);
-                put_str(out, value);
-                put_str(out, &pf.norm);
-                put_u32(out, pf.tokens.len() as u32);
-                for token in &pf.tokens {
-                    put_str(out, token);
-                }
-            }
+            encode_publish(out, community, xml, fields, prep);
         }
         WalRecord::Remove { id } => {
             out.push(TAG_REMOVE);
@@ -82,6 +70,36 @@ pub(crate) fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
         }
     }
 }
+
+/// Encodes a publish record from borrowed parts, so the publish path
+/// logs what it already holds without copying it into a [`WalRecord`].
+pub(crate) fn encode_publish(
+    out: &mut Vec<u8>,
+    community: &str,
+    xml: &str,
+    fields: &[(String, String)],
+    prep: &[PreparedField],
+) {
+    out.push(TAG_PUBLISH);
+    put_str(out, community);
+    put_str(out, xml);
+    put_u32(out, fields.len() as u32);
+    for ((path, value), pf) in fields.iter().zip(prep) {
+        put_str(out, path);
+        put_str(out, value);
+        put_str(out, &pf.norm);
+        put_u32(out, pf.tokens.len() as u32);
+        for token in &pf.tokens {
+            put_str(out, token);
+        }
+    }
+}
+
+/// Smallest encoding of one field entry: four empty length-prefixed
+/// items (path, value, norm, token count).
+const MIN_FIELD_BYTES: usize = 16;
+/// Smallest encoding of one token: an empty length-prefixed string.
+const MIN_TOKEN_BYTES: usize = 4;
 
 /// Decodes a frame payload back into a record. `None` means the payload
 /// is logically malformed (despite a valid checksum) — callers treat
@@ -93,14 +111,17 @@ pub(crate) fn decode_record(payload: &[u8]) -> Option<WalRecord> {
             let community = c.str()?.to_string();
             let xml = c.str()?.to_string();
             let n = c.u32()? as usize;
-            let mut fields = Vec::with_capacity(n);
-            let mut prep = Vec::with_capacity(n);
+            // counts are untrusted: reserve no more entries than the
+            // remaining bytes could possibly encode
+            let cap = n.min(c.remaining() / MIN_FIELD_BYTES);
+            let mut fields = Vec::with_capacity(cap);
+            let mut prep = Vec::with_capacity(cap);
             for _ in 0..n {
                 let path = c.str()?.to_string();
                 let value = c.str()?.to_string();
                 let norm = c.str()?.to_string();
                 let n_tokens = c.u32()? as usize;
-                let mut tokens = Vec::with_capacity(n_tokens);
+                let mut tokens = Vec::with_capacity(n_tokens.min(c.remaining() / MIN_TOKEN_BYTES));
                 for _ in 0..n_tokens {
                     tokens.push(c.str()?.to_string());
                 }
@@ -200,6 +221,25 @@ impl Wal {
     pub(crate) fn append(&mut self, rec: &WalRecord) -> io::Result<()> {
         self.frame_buf.clear();
         encode_record(rec, &mut self.frame_buf);
+        self.write_frame()
+    }
+
+    /// [`append`](Self::append) of a publish record given by its parts.
+    pub(crate) fn append_publish(
+        &mut self,
+        community: &str,
+        xml: &str,
+        fields: &[(String, String)],
+        prep: &[PreparedField],
+    ) -> io::Result<()> {
+        self.frame_buf.clear();
+        encode_publish(&mut self.frame_buf, community, xml, fields, prep);
+        self.write_frame()
+    }
+
+    /// Frames the encoded payload in `frame_buf`, writes it and syncs
+    /// according to the policy.
+    fn write_frame(&mut self) -> io::Result<()> {
         let mut frame = Vec::with_capacity(self.frame_buf.len() + crate::fsio::FRAME_HEADER);
         encode_frame(&self.frame_buf, &mut frame);
         self.writer.write_all(&frame)?;
@@ -304,5 +344,37 @@ mod tests {
         let r = replay(b"UP2P");
         assert!(r.records.is_empty());
         assert_eq!(r.valid_len, 0);
+    }
+
+    #[test]
+    fn untrusted_counts_do_not_drive_allocation() {
+        // a well-formed prefix whose field count claims u32::MAX entries
+        let mut payload = vec![TAG_PUBLISH];
+        put_str(&mut payload, "c");
+        put_str(&mut payload, "<o/>");
+        put_u32(&mut payload, u32::MAX);
+        assert_eq!(decode_record(&payload), None);
+        // one field whose token count claims u32::MAX tokens
+        let mut payload = vec![TAG_PUBLISH];
+        put_str(&mut payload, "c");
+        put_str(&mut payload, "<o/>");
+        put_u32(&mut payload, 1);
+        for s in ["o", "v", "v"] {
+            put_str(&mut payload, s);
+        }
+        put_u32(&mut payload, u32::MAX);
+        assert_eq!(decode_record(&payload), None);
+    }
+
+    #[test]
+    fn borrowed_publish_encoding_matches_the_record_codec() {
+        let rec = publish(5);
+        let WalRecord::Publish { community, xml, fields, prep } = &rec else {
+            unreachable!()
+        };
+        let (mut owned, mut borrowed) = (Vec::new(), Vec::new());
+        encode_record(&rec, &mut owned);
+        encode_publish(&mut borrowed, community, xml, fields, prep);
+        assert_eq!(owned, borrowed);
     }
 }

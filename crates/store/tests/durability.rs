@@ -118,7 +118,7 @@ fn same_state(recovered: &Repository, expect: &Repository) -> bool {
     type ObjectDump = Vec<(String, String, String, Vec<(String, String)>)>;
     let dump = |r: &Repository| -> ObjectDump {
         r.iter()
-            .map(|o| (o.id.to_string(), o.community.clone(), o.xml.clone(), o.fields.to_vec()))
+            .map(|o| (o.id.to_string(), o.community.clone(), o.xml.to_string(), o.fields.to_vec()))
             .collect()
     };
     if dump(recovered) != dump(expect) {

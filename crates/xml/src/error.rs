@@ -53,6 +53,12 @@ pub enum ParseErrorKind {
     InvalidCharRef(String),
     /// Document contained content after the root element or no root at all.
     InvalidDocumentStructure(String),
+    /// Elements nested deeper than the parser's limit
+    /// ([`MAX_NESTING_DEPTH`](crate::MAX_NESTING_DEPTH)).
+    TooDeep {
+        /// The nesting limit that was exceeded.
+        limit: usize,
+    },
     /// Anything else, with a human-readable description.
     Other(String),
 }
@@ -86,6 +92,9 @@ impl fmt::Display for ParseXmlError {
             ParseErrorKind::UnknownEntity(e) => write!(f, "unknown entity &{e};")?,
             ParseErrorKind::InvalidCharRef(r) => write!(f, "invalid character reference {r:?}")?,
             ParseErrorKind::InvalidDocumentStructure(d) => write!(f, "{d}")?,
+            ParseErrorKind::TooDeep { limit } => {
+                write!(f, "elements nested deeper than {limit} levels")?
+            }
             ParseErrorKind::Other(d) => write!(f, "{d}")?,
         }
         write!(f, " at {}", self.pos)

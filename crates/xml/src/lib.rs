@@ -45,6 +45,7 @@ pub use document::{Attribute, Document, NodeId, NodeKind};
 pub use error::{ParseErrorKind, ParseXmlError, TextPos, XPathError};
 pub use escape::{escape_attr, escape_text, unescape};
 pub use name::{is_valid_ncname, ParseQNameError, QName};
+pub use parser::MAX_NESTING_DEPTH;
 pub use writer::WriteOptions;
 pub use xpath::{Context, Value, XNode, XPath};
 

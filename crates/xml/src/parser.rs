@@ -47,9 +47,18 @@ impl Document {
     }
 }
 
+/// Deepest element nesting [`Document::parse`] accepts. The parser
+/// recurses once per open element, so without a limit a peer could send
+/// a document (200k nested `<a>` is 1.4 MB) that overflows the stack;
+/// past the limit parsing returns [`ParseErrorKind::TooDeep`] instead.
+/// Every document this system exchanges is a few levels deep.
+pub const MAX_NESTING_DEPTH: usize = 256;
+
 struct Parser<'a> {
     chars: Vec<char>,
     pos: usize,
+    /// Elements currently open.
+    depth: usize,
     line: u32,
     col: u32,
     doc: Document,
@@ -61,6 +70,7 @@ impl<'a> Parser<'a> {
         Parser {
             chars: input.chars().collect(),
             pos: 0,
+            depth: 0,
             line: 1,
             col: 1,
             doc: Document::new(),
@@ -215,6 +225,16 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_element(&mut self) -> Result<NodeId, ParseXmlError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.err(ParseErrorKind::TooDeep { limit: MAX_NESTING_DEPTH }));
+        }
+        self.depth += 1;
+        let el = self.parse_element_body();
+        self.depth -= 1;
+        el
+    }
+
+    fn parse_element_body(&mut self) -> Result<NodeId, ParseXmlError> {
         self.eat('<')?;
         let name = self.parse_name()?;
         let el = self.doc.create_element(name.clone());
@@ -570,5 +590,29 @@ mod tests {
         let st = d.child_named(schema, "simpleType").unwrap();
         let restriction = d.child_named(st, "restriction").unwrap();
         assert_eq!(d.children_named(restriction, "enumeration").count(), 4);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let n = 200_000;
+        let deep = format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        let err = Document::parse(&deep).unwrap_err();
+        assert_eq!(err.kind(), &ParseErrorKind::TooDeep { limit: MAX_NESTING_DEPTH });
+        // unclosed nesting stops at the limit too, before reaching EOF
+        let err = Document::parse(&"<a>".repeat(n)).unwrap_err();
+        assert!(matches!(err.kind(), ParseErrorKind::TooDeep { .. }));
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let n = MAX_NESTING_DEPTH;
+        let doc = format!("{}x{}", "<a>".repeat(n), "</a>".repeat(n));
+        let d = Document::parse(&doc).unwrap();
+        assert_eq!(d.to_xml_string(), doc);
+        let over = format!("<b>{doc}</b>");
+        assert!(matches!(
+            Document::parse(&over).unwrap_err().kind(),
+            ParseErrorKind::TooDeep { .. }
+        ));
     }
 }

@@ -23,18 +23,22 @@ pub use lock_order::{declare_order, observed_pairs, reset as reset_lock_order};
 /// Lock-order tracking: per-thread held stacks, the global observed-pair
 /// table and the optional declared order. Active in debug builds only.
 pub mod lock_order {
+    #[cfg(debug_assertions)]
     use std::collections::HashMap;
+    #[cfg(debug_assertions)]
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Mutex as StdMutex, OnceLock, PoisonError};
 
     /// Identity of a lock for ordering purposes: its declared class name,
     /// or the anonymous instance id.
+    #[cfg(debug_assertions)]
     #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
     pub(crate) enum LockKey {
         Named(&'static str),
         Anon(u64),
     }
 
+    #[cfg(debug_assertions)]
     impl std::fmt::Display for LockKey {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             match self {
@@ -44,15 +48,18 @@ pub mod lock_order {
         }
     }
 
+    #[cfg(debug_assertions)]
     pub(crate) static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
     /// A monotonically increasing token per acquisition, so guards can be
     /// released out of LIFO order.
+    #[cfg(debug_assertions)]
     static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
     struct OrderState {
         /// Directed pairs `(held, acquired)` ever observed, with the
         /// thread name that first observed them.
+        #[cfg(debug_assertions)]
         observed: HashMap<(LockKey, LockKey), String>,
         /// Declared total order of class names, earliest first.
         declared: Vec<&'static str>,
@@ -61,10 +68,15 @@ pub mod lock_order {
     fn state() -> &'static StdMutex<OrderState> {
         static STATE: OnceLock<StdMutex<OrderState>> = OnceLock::new();
         STATE.get_or_init(|| {
-            StdMutex::new(OrderState { observed: HashMap::new(), declared: Vec::new() })
+            StdMutex::new(OrderState {
+                #[cfg(debug_assertions)]
+                observed: HashMap::new(),
+                declared: Vec::new(),
+            })
         })
     }
 
+    #[cfg(debug_assertions)]
     thread_local! {
         static HELD: std::cell::RefCell<Vec<(LockKey, u64)>> =
             const { std::cell::RefCell::new(Vec::new()) };
@@ -82,6 +94,7 @@ pub mod lock_order {
     /// Clears observed pairs and the declared order (test isolation).
     pub fn reset() {
         let mut s = state().lock().unwrap_or_else(PoisonError::into_inner);
+        #[cfg(debug_assertions)]
         s.observed.clear();
         s.declared.clear();
     }
@@ -89,15 +102,21 @@ pub mod lock_order {
     /// Every `(held, acquired)` class pair observed so far, rendered as
     /// strings, sorted. Debug builds only; empty in release builds.
     pub fn observed_pairs() -> Vec<(String, String)> {
-        let s = state().lock().unwrap_or_else(PoisonError::into_inner);
-        let mut v: Vec<(String, String)> =
-            s.observed.keys().map(|(a, b)| (a.to_string(), b.to_string())).collect();
-        v.sort();
-        v
+        #[cfg(debug_assertions)]
+        {
+            let s = state().lock().unwrap_or_else(PoisonError::into_inner);
+            let mut v: Vec<(String, String)> =
+                s.observed.keys().map(|(a, b)| (a.to_string(), b.to_string())).collect();
+            v.sort();
+            v
+        }
+        #[cfg(not(debug_assertions))]
+        Vec::new()
     }
 
     /// Records an acquisition, asserting order discipline. Returns the
     /// release token.
+    #[cfg(debug_assertions)]
     pub(crate) fn acquired(key: &LockKey) -> u64 {
         let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
         let held_snapshot: Vec<LockKey> =
@@ -154,6 +173,7 @@ pub mod lock_order {
     }
 
     /// Records a release by token (guards may drop in any order).
+    #[cfg(debug_assertions)]
     pub(crate) fn released(token: u64) {
         HELD.with(|h| {
             let mut held = h.borrow_mut();
@@ -384,6 +404,8 @@ mod tests {
         assert_eq!(l.read().len(), 2);
     }
 
+    // release builds record no pairs (`observed_pairs` is empty there)
+    #[cfg(debug_assertions)]
     #[test]
     fn consistent_nesting_is_recorded_not_punished() {
         let _g = registry_guard();

@@ -114,7 +114,7 @@ proptest! {
         let root = Community::root();
         let obj = community.to_object();
         prop_assert!(root.validate(&obj).is_ok());
-        let rebuilt = Community::from_object(&obj, &community.schema_xsd).unwrap();
+        let rebuilt = Community::from_object(&obj, community.schema_xsd()).unwrap();
         prop_assert_eq!(rebuilt.id, community.id);
     }
 }

@@ -37,7 +37,7 @@ fn servent_state_round_trips() {
     let c = restored.community(&community.id).expect("community restored");
     assert_eq!(c.name, community.name);
     assert_eq!(c.display_style.as_deref(), Some(CUSTOM_VIEW));
-    assert_eq!(c.schema_xsd, community.schema_xsd);
+    assert_eq!(c.schema_xsd(), community.schema_xsd());
     // repository contents survive
     assert_eq!(restored.local_objects(&community.id).len(), 3);
     let hits = restored
